@@ -7,7 +7,9 @@ handing the resulting constraint prefix to the solver — generational
 exploration in the style of concolic engines.  Exploration order is governed
 by a pluggable strategy; class-uniform path analysis (CUPA) groups pending
 inputs by the branch they negate and picks classes uniformly, the strategy
-the paper found most effective for both ROP and VM configurations.
+the paper found most effective for both ROP and VM configurations.  That
+search state lives in :class:`GenerationalFrontier`, which the distributed
+coordinator (:mod:`repro.attacks.frontier`) drives as well.
 
 Exploration is *backtracking* by default: while a path executes, the engine
 captures whole-emulator snapshots (:meth:`repro.cpu.Emulator.snapshot`) at
@@ -52,9 +54,6 @@ _MASK64 = (1 << 64) - 1
 #: ``REPRO_DSE_BACKTRACK=0`` forces rerun-from-entry exploration globally
 #: (the A/B lever the differential tests and the benchmark use).
 _BACKTRACK_DEFAULT = knobs.enabled("REPRO_DSE_BACKTRACK")
-
-#: Backwards-compatible name: the DSE statistics are the shared engine stats.
-ExplorationStats = EngineStats
 
 
 def _decision_key(record: BranchRecord) -> Tuple:
@@ -362,7 +361,7 @@ class DseEngine(SnapshotEngine):
     def explore(self, time_budget: float = 10.0, max_executions: int = 200,
                 stop_condition: Optional[Callable[[ExecutionResult], bool]] = None,
                 max_solver_queries: Optional[int] = None,
-                ) -> Tuple[List[ExecutionResult], ExplorationStats]:
+                ) -> Tuple[List[ExecutionResult], EngineStats]:
         """Explore paths until the budget runs out or ``stop_condition`` holds.
 
         ``max_solver_queries`` bounds generational expansion: once that many
@@ -374,67 +373,72 @@ class DseEngine(SnapshotEngine):
         Returns the list of execution results (one per explored input) and the
         aggregate statistics.
         """
-        start = time.monotonic()
-        initial = {name: 0 for name in self.symbols}
-        pending: List[Tuple[int, Dict[str, int], Optional[Tuple]]] = [(0, initial, None)]
-        seen_inputs: Set[Tuple] = {tuple(sorted(initial.items()))}
-        seen_decisions: Set[Tuple[int, bool]] = set()
+        frontier = GenerationalFrontier(self.symbols, self.strategy, self.random,
+                                        self.solver, self.stats, time_budget,
+                                        max_solver_queries)
         results: List[ExecutionResult] = []
-        path_signatures: Set[Tuple] = set()
-
-        while pending:
-            elapsed = time.monotonic() - start
-            if elapsed > time_budget or self.stats.executions >= max_executions:
+        while frontier.pending:
+            if frontier.out_of_time() or self.stats.executions >= max_executions:
                 break
-            index = self._pick(pending)
-            _, assignment, resume_key = pending.pop(index)
+            _, assignment, resume_key, _ = frontier.pop()
             result = self.execute(assignment, resume_key=resume_key)
             results.append(result)
-
-            signature = tuple(
-                (address, constraint.expected)
-                for address, constraint in zip(result.branch_addresses, result.constraints)
-            )
-            if signature not in path_signatures:
-                path_signatures.add(signature)
-                self.stats.paths_seen += 1
-
+            signature = frontier.record(result)
             if stop_condition is not None and stop_condition(result):
                 break
+            frontier.expand(result, signature)
 
-            # generational expansion: negate each branch decision of this path
-            for position, constraint in enumerate(result.constraints):
-                if max_solver_queries is not None \
-                        and self.stats.solver_queries >= max_solver_queries:
-                    break
-                if time.monotonic() - start > time_budget:
-                    break
-                # dedupe on the decision *in its path context*: the same branch
-                # may be feasible to flip under one prefix and not another
-                decision_key = (
-                    signature[:position],
-                    result.branch_addresses[position],
-                    not constraint.expected,
-                )
-                if decision_key in seen_decisions:
-                    continue
-                seen_decisions.add(decision_key)
-                prefix = result.constraints[:position] + [constraint.negated()]
-                self.stats.solver_queries += 1
-                solution = self.solver.solve(prefix, seed_assignment=result.assignment)
-                if solution is None:
-                    continue
-                key = tuple(sorted(solution.items()))
-                if key in seen_inputs:
-                    continue
-                seen_inputs.add(key)
-                pending.append((result.branch_addresses[position], solution,
-                                result.decision_keys[:position]))
-
-        self.stats.elapsed = time.monotonic() - start
+        self.stats.elapsed = frontier.elapsed()
         return results, self.stats
 
-    def _pick(self, pending: List[Tuple]) -> int:
+
+#: One pending input: ``(priority, assignment, resume_key, attempt)``.  The
+#: priority is the branch address whose negation produced the input (CUPA's
+#: class); ``attempt`` counts how often a distributed worker was lost while
+#: holding it.
+PendingInput = Tuple[int, Dict[str, int], Optional[Tuple], int]
+
+
+class GenerationalFrontier:
+    """The generational search state of one exploration.
+
+    Owns everything whose order determines the explored path set: the
+    pending inputs, the path-signature registry, the decision-prefix dedupe,
+    the ``seen_inputs`` set, the solver calls and the strategy pick.  Both
+    :meth:`DseEngine.explore` and the distributed coordinator
+    (:class:`repro.attacks.frontier.FrontierExplorer`) drive one of these;
+    they differ only in where :meth:`DseEngine.execute` runs.
+    """
+
+    def __init__(self, symbols: Dict[str, int], strategy: str,
+                 rng: random.Random, solver: ConstraintSolver,
+                 stats: EngineStats, time_budget: float,
+                 max_solver_queries: Optional[int]) -> None:
+        self.start = time.monotonic()  # lint: allow-wallclock — wall-clock attack budget, reported not row-keyed
+        self.strategy = strategy
+        self.random = rng
+        self.solver = solver
+        self.stats = stats
+        self.time_budget = time_budget
+        self.max_solver_queries = max_solver_queries
+        initial = {name: 0 for name in symbols}
+        self.pending: List[PendingInput] = [(0, initial, None, 0)]
+        self._seen_inputs: Set[Tuple] = {tuple(sorted(initial.items()))}
+        self._seen_decisions: Set[Tuple] = set()
+        self._path_signatures: Set[Tuple] = set()
+
+    def elapsed(self) -> float:
+        return time.monotonic() - self.start  # lint: allow-wallclock — wall-clock attack budget and elapsed stat, excluded from byte-identity
+
+    def out_of_time(self) -> bool:
+        return self.elapsed() > self.time_budget
+
+    def pop(self) -> PendingInput:
+        """Remove and return the pending input the strategy picks next."""
+        return self.pending.pop(self._pick())
+
+    def _pick(self) -> int:
+        pending = self.pending
         if self.strategy == "dfs":
             return len(pending) - 1
         if self.strategy == "bfs":
@@ -446,3 +450,45 @@ class DseEngine(SnapshotEngine):
             classes.setdefault(entry[0], []).append(index)
         chosen_class = self.random.choice(list(classes))
         return self.random.choice(classes[chosen_class])
+
+    def record(self, result: ExecutionResult) -> Tuple:
+        """Register ``result``'s path; return its signature for :meth:`expand`."""
+        signature = tuple(
+            (address, constraint.expected)
+            for address, constraint in zip(result.branch_addresses, result.constraints)
+        )
+        if signature not in self._path_signatures:
+            self._path_signatures.add(signature)
+            self.stats.paths_seen += 1
+        return signature
+
+    def expand(self, result: ExecutionResult, signature: Tuple) -> None:
+        """Generational expansion: negate each branch decision of the path."""
+        stats = self.stats
+        for position, constraint in enumerate(result.constraints):
+            if self.max_solver_queries is not None \
+                    and stats.solver_queries >= self.max_solver_queries:
+                break
+            if self.out_of_time():
+                break
+            # dedupe on the decision *in its path context*: the same branch
+            # may be feasible to flip under one prefix and not another
+            decision_key = (
+                signature[:position],
+                result.branch_addresses[position],
+                not constraint.expected,
+            )
+            if decision_key in self._seen_decisions:
+                continue
+            self._seen_decisions.add(decision_key)
+            prefix = result.constraints[:position] + [constraint.negated()]
+            stats.solver_queries += 1
+            solution = self.solver.solve(prefix, seed_assignment=result.assignment)
+            if solution is None:
+                continue
+            key = tuple(sorted(solution.items()))
+            if key in self._seen_inputs:
+                continue
+            self._seen_inputs.add(key)
+            self.pending.append((result.branch_addresses[position], solution,
+                                 result.decision_keys[:position], 0))

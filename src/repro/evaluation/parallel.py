@@ -41,11 +41,14 @@ The supervision core is exposed below :meth:`WorkerPool.map` as an
 incremental :meth:`WorkerPool.submit` / :meth:`WorkerPool.pump` event API:
 ``submit`` enqueues one unit under a pool-lifetime dispatch id, ``pump``
 performs one supervision round (claim polling, deadline kills, death
-detection, slot respawns) and returns :class:`PoolEvent` records.  ``map``
-is a client of that API; the long-lived attack service
-(:mod:`repro.service`) is another, with its own retry/backoff and terminal
-states layered on the same events.  Units beyond the three grid dataclasses
-plug in through :func:`register_unit_executor`.
+detection, slot respawns) and returns :class:`PoolEvent` records.  It has
+three clients: ``map``; the long-lived attack service
+(:mod:`repro.service`), with its own retry/backoff and terminal states
+layered on the same events; and the distributed DSE frontier
+(:mod:`repro.attacks.frontier`), which runs one fresh pool per exploration
+and returns a lost execution's branch decision to its frontier.  Units
+beyond the three grid dataclasses plug in through
+:func:`register_unit_executor`.
 """
 
 from __future__ import annotations

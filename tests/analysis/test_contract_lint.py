@@ -22,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -136,10 +138,11 @@ def test_raw_env_read_outside_knobs_is_detected(tmp_path):
     assert "env-read" in result.stdout
 
 
-def test_wallclock_in_row_producing_path_is_detected(tmp_path):
+@pytest.mark.parametrize("module", ["frontier.py", "dse.py"])
+def test_wallclock_in_row_producing_path_is_detected(tmp_path, module):
     """Unannotated wall-clock in the determinism-scoped modules fails."""
     def plant(copy):
-        path = copy / "repro" / "attacks" / "frontier.py"
+        path = copy / "repro" / "attacks" / module
         path.write_text(path.read_text() + (
             "\n\ndef _timestamped_row():\n"
             "    import time\n"
