@@ -7,14 +7,13 @@ workload (``fasta`` under ``ROP1.00`` — every instruction dispatched through
 ret-terminated chains, the worst case the paper measures in Figure 5) and
 reports:
 
-* **instructions/sec** of the hook-free interpreter loop in five
-  configurations: the default three-tier pipeline with cross-trace
-  superblocks, superblock linking off (``REPRO_TRACE_SUPERBLOCK=0``), the
-  closure tier only (``REPRO_TRACE_COMPILE=0``), single-step dispatch
-  (``REPRO_TRACE_CACHE=0``) and fully uncached (``REPRO_DECODE_CACHE=0``
-  too), plus the JIT pipeline counters of the default run (traces compiled,
-  compiled-trace hit rate, native-coverage share of compiled instructions,
-  superblocks linked and superblock dispatch counts),
+* **instructions/sec** of the hook-free interpreter loop in four
+  configurations: the default three-tier pipeline, the closure tier only
+  (``REPRO_TRACE_COMPILE=0``), single-step dispatch (``REPRO_TRACE_CACHE=0``)
+  and fully uncached (``REPRO_DECODE_CACHE=0`` too), each with its best-of
+  rate (the gated number) and every round's rate (the spread), plus the
+  JIT pipeline counters of the default run (traces compiled, compiled-trace
+  hit rate, native-coverage share of compiled instructions),
 * **forks/sec** of :meth:`repro.memory.Memory.snapshot`-based program
   forking versus the deep ``load_image`` path the attack engines used to
   take per execution,
@@ -69,7 +68,6 @@ REGRESSION_TOLERANCE = 0.20
 _CACHE_ENABLED = knobs.enabled("REPRO_DECODE_CACHE")
 _TRACE_ENABLED = knobs.enabled("REPRO_TRACE_CACHE")
 _COMPILE_ENABLED = knobs.enabled("REPRO_TRACE_COMPILE")
-_SUPERBLOCK_ENABLED = knobs.enabled("REPRO_TRACE_SUPERBLOCK")
 
 #: Compiled-tier throughput must stay at least this multiple of the closure
 #: tier on the same machine (the PR 4 tentpole gate).
@@ -112,20 +110,19 @@ def _build_workload():
 
 
 def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
-                       trace_cache=None, trace_compile=None,
-                       trace_superblock=None):
+                       trace_cache=None, trace_compile=None):
     """Run the workload ``rounds`` times; return best-of instructions/sec.
 
     Each round builds a fresh emulator, so per-round numbers include the
     warm-up cost of the requested tier (decode, trace fusion and — for the
-    compiled configuration — ``compile()`` of every hot trace plus
-    superblock linking).
+    compiled configuration — ``compile()`` of every hot trace).  Every
+    round's rate is reported too, so the spread behind the best-of shows.
     """
     from repro.cpu.emulator import Emulator
     from repro.cpu.host import EXIT_ADDRESS, HostEnvironment
     from repro.isa.registers import ARG_REGISTERS, Register
 
-    best_ips = 0.0
+    rates = []
     steps = 0
     jit = None
     for _ in range(rounds):
@@ -133,8 +130,7 @@ def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
         emulator = Emulator(program.memory, host=HostEnvironment(),
                             max_steps=5_000_000, decode_cache=decode_cache,
                             trace_cache=trace_cache,
-                            trace_compile=trace_compile,
-                            trace_superblock=trace_superblock)
+                            trace_compile=trace_compile)
         emulator.state.write_reg(Register.RSP, program.stack_top)
         emulator.state.write_reg(Register.RBP, program.stack_top)
         emulator.state.write_reg(ARG_REGISTERS[0], argument)
@@ -145,8 +141,9 @@ def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
         elapsed = time.perf_counter() - start
         steps = emulator.steps
         jit = emulator.jit_stats
-        best_ips = max(best_ips, steps / elapsed)
-    report = {"instructions": steps, "instructions_per_sec": round(best_ips)}
+        rates.append(round(steps / elapsed))
+    report = {"instructions": steps, "instructions_per_sec": max(rates),
+              "rounds_per_sec": rates}
     if trace_compile:
         report["jit"] = {
             "traces_built": jit.traces_built,
@@ -158,8 +155,6 @@ def measure_throughput(pristine, entry, argument, rounds=3, decode_cache=None,
             "native_steps": jit.native_steps,
             "generic_steps": jit.generic_steps,
             "native_coverage": round(jit.native_coverage, 4),
-            "superblocks_built": jit.superblocks_built,
-            "superblock_runs": jit.superblock_runs,
         }
     return report
 
@@ -347,19 +342,13 @@ def run_benchmarks():
     pristine, entry, argument = _build_workload()
     fusion = (_CACHE_ENABLED and _TRACE_ENABLED) or None
     compiled = (bool(fusion) and _COMPILE_ENABLED) or None
-    superblocks = (bool(compiled) and _SUPERBLOCK_ENABLED) or None
     report = {
         "workload": "clbg/fasta under ROP1.00 (seed=1), hook-free run loop",
         "calibration_sec": round(measure_calibration(), 4),
         "throughput": measure_throughput(pristine, entry, argument,
                                          decode_cache=_CACHE_ENABLED or None,
                                          trace_cache=fusion,
-                                         trace_compile=compiled,
-                                         trace_superblock=superblocks),
-        "throughput_superblock_off": measure_throughput(
-            pristine, entry, argument, rounds=2,
-            decode_cache=_CACHE_ENABLED or None, trace_cache=fusion,
-            trace_compile=compiled, trace_superblock=False),
+                                         trace_compile=compiled),
         "throughput_compile_off": measure_throughput(
             pristine, entry, argument, rounds=2,
             decode_cache=_CACHE_ENABLED or None, trace_cache=fusion,
@@ -426,8 +415,6 @@ def test_emulator_throughput_and_fork_rate():
     CANDIDATE_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     ips = report["throughput"]["instructions_per_sec"]
-    superblock_off_ips = \
-        report["throughput_superblock_off"]["instructions_per_sec"]
     compile_off_ips = report["throughput_compile_off"]["instructions_per_sec"]
     trace_off_ips = report["throughput_trace_cache_off"]["instructions_per_sec"]
     forking = report["forking"]
@@ -436,7 +423,6 @@ def test_emulator_throughput_and_fork_rate():
     jit = report["throughput"].get("jit")
     print()
     print(f"interpreter throughput : {ips:>12,} instructions/sec")
-    print(f"  superblocks off      : {superblock_off_ips:>12,} instructions/sec")
     print(f"  compiled tier off    : {compile_off_ips:>12,} instructions/sec")
     print(f"  trace cache off      : {trace_off_ips:>12,} instructions/sec")
     print(f"  decode cache off     : "
@@ -448,8 +434,6 @@ def test_emulator_throughput_and_fork_rate():
               f"{jit['compiled_hit_rate']:.1%} compiled-trace hit rate, "
               f"{jit['native_coverage']:.1%} native coverage "
               f"({jit['generic_steps']} generic-handler steps)")
-        print(f"  superblocks          : {jit['superblocks_built']} linked, "
-              f"{jit['superblock_runs']:,} superblock dispatches")
     print(f"COW fork rate          : {forking['forks_per_sec']:>12,} forks/sec "
           f"({forking['fork_speedup']}x over deep load_image)")
     print(f"emulator snapshot rate : "
@@ -473,11 +457,11 @@ def test_emulator_throughput_and_fork_rate():
 
     caches_on = _CACHE_ENABLED and _TRACE_ENABLED
     if update or committed is None:
-        if not (caches_on and _COMPILE_ENABLED and _SUPERBLOCK_ENABLED):
+        if not (caches_on and _COMPILE_ENABLED):
             raise SystemExit(
                 "refusing to (re)write the baseline with REPRO_DECODE_CACHE/"
-                "REPRO_TRACE_CACHE/REPRO_TRACE_COMPILE/REPRO_TRACE_SUPERBLOCK "
-                "disabled: the committed numbers must be the full pipeline "
+                "REPRO_TRACE_CACHE/REPRO_TRACE_COMPILE disabled: the "
+                "committed numbers must be the full pipeline "
                 "configuration CI gates against")
         payload = _persist(report, committed)
         print(f"baseline updated: {RESULT_PATH}")
@@ -533,23 +517,13 @@ def test_emulator_throughput_and_fork_rate():
         assert hit_rate >= 0.9, (
             f"compiled-trace hit rate only {hit_rate:.1%} on the bench "
             f"workload (expected >= 90%)")
-        # the PR 5 tentpole gates: the widened codegen must keep generic-
-        # handler round-trips marginal, and superblock linking must engage
-        # on the ROP chain workload (its throughput is gated at parity via
-        # the absolute regression gate below, not a ratio — the seam saving
-        # is within shared-runner noise)
+        # the widened codegen must keep generic-handler round-trips marginal
         coverage = report["throughput"]["jit"]["native_coverage"]
         assert coverage >= 0.9, (
             f"native codegen coverage only {coverage:.1%} of compiled "
             f"instructions (expected >= 90%)")
-        if _SUPERBLOCK_ENABLED:
-            jit_stats = report["throughput"]["jit"]
-            assert jit_stats["superblocks_built"] > 0, (
-                "no superblocks linked on the ROP chain workload")
-            assert jit_stats["superblock_runs"] > 0, (
-                "superblock dispatch never engaged on the ROP chain workload")
 
-    if gate and not (caches_on and _COMPILE_ENABLED and _SUPERBLOCK_ENABLED):
+    if gate and not (caches_on and _COMPILE_ENABLED):
         # the committed baseline is the three-tier configuration; measuring
         # with a tier disabled is the A/B debugging mode, not a regression
         print("absolute throughput gate skipped: a cache/compile tier is "

@@ -48,7 +48,8 @@ handlers (the closure tier serves those better).
 The generated function is self-contained: it advances ``emulator.steps``,
 installs the final ``rip`` and re-raises faults as
 :class:`~repro.cpu.state.EmulationError` itself, so executing a compiled
-trace from the run loop is a single call.
+trace from the run loop is a single call, after which control is back in
+the run loop for the next dispatch.
 """
 
 from __future__ import annotations

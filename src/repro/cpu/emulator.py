@@ -33,17 +33,9 @@ in the evaluation grid bottoms out here):
   three-tiered — single-step -> closure trace -> compiled trace — with each
   tier the exact-semantics fallback of the next.  Set
   ``REPRO_TRACE_COMPILE=0`` to stop at the closure tier;
-  :attr:`Emulator.jit_stats` counts per-tier activity.
-* **Cross-trace superblocks** — a compiled trace whose exit keeps landing
-  on another compiled trace's entry (the guarded-ret/ROP-chain shape, or a
-  trace capped at ``TRACE_CAP`` falling through) is linked with it into a
-  superblock: the constituent compiled functions dispatch tail-to-head
-  without returning to the run loop, with each seam re-checking the next
-  constituent's entry address and region write generation — so the
-  effective fused length grows past ``TRACE_CAP`` while SMC invalidation
-  keys on each constituent exactly (see
-  :func:`repro.cpu.trace.compose_traces`).  Set
-  ``REPRO_TRACE_SUPERBLOCK=0`` to disable linking.
+  :attr:`Emulator.jit_stats` counts per-tier activity.  Every fused
+  execution returns to the run loop after one trace, which re-checks the
+  next entry's generation and the step budget before dispatching again.
 * **Hook-free fast path** — :meth:`run` only takes the slow path (pre-hook
   fan-out per instruction) when hooks are actually installed.
 * **O(1) snapshots** — :meth:`Emulator.snapshot` / :meth:`Emulator.restore`
@@ -71,12 +63,7 @@ from repro.cpu.state import (
 )
 from repro.cpu import semantics as _semantics
 from repro.cpu.codegen import compile_trace
-from repro.cpu.trace import (
-    SUPERBLOCK_CAP as _SUPERBLOCK_CAP,
-    Trace,
-    build_trace,
-    compose_traces,
-)
+from repro.cpu.trace import Trace, build_trace
 from repro.isa.encoding import DecodeError, decode_instruction
 from repro.isa.instructions import Instruction, Mnemonic
 from repro.isa.operands import Imm, Mem, Reg
@@ -107,11 +94,6 @@ _TRACE_CACHE_DEFAULT = knobs.enabled("REPRO_TRACE_CACHE")
 #: the closure tier (the A/B lever for the compiled tier specifically).
 _TRACE_COMPILE_DEFAULT = knobs.enabled("REPRO_TRACE_COMPILE")
 
-#: Cross-trace superblock default; ``REPRO_TRACE_SUPERBLOCK=0`` keeps
-#: compiled traces independent (no tail-to-head fusion through guarded
-#: rets), the A/B lever for the superblock machinery specifically.
-_TRACE_SUPERBLOCK_DEFAULT = knobs.enabled("REPRO_TRACE_SUPERBLOCK")
-
 #: Number of run-loop visits to an address before it is fused into a trace.
 #: One free visit keeps cold straight-through code out of the compiler.
 _TRACE_HEAT_THRESHOLD = 2
@@ -120,15 +102,6 @@ _TRACE_HEAT_THRESHOLD = 2
 #: exec-compiled tier.  Two warm-up runs keep one-shot traces (and the
 #: attack engines' short-lived explorations) away from ``compile()``.
 _TRACE_COMPILE_THRESHOLD = 2
-
-#: Observed tail-to-head transitions from one compiled trace's exit onto
-#: another compiled trace's entry before the pair is fused into a
-#: superblock.  A few repeats filter data-dependent one-off successions.
-_SUPERBLOCK_THRESHOLD = 4
-
-#: Distinct exit addresses tracked per watched trace before the watch is
-#: dropped as megamorphic (a dispatcher-style exit will never stabilize).
-_SUPERBLOCK_FANOUT = 8
 
 
 @dataclass
@@ -147,10 +120,6 @@ class JitStats:
         generic_steps: instructions compiled as generic-handler round-trips
             (flush/reload around the emulator's own handler) across all
             compiled traces.
-        superblocks_built: cross-trace superblocks compiled (tail-to-head
-            fusions of hot compiled traces through guarded rets).
-        superblock_runs: fused executions served by superblock functions
-            (also counted in ``compiled_runs``).
     """
 
     traces_built: int = 0
@@ -160,7 +129,8 @@ class JitStats:
     closure_runs: int = 0
     native_steps: int = 0
     generic_steps: int = 0
-    superblocks_built: int = 0
+    #: always 0 since cross-trace superblocks were removed; the perf bench's
+    #: per-layer report still reads it
     superblock_runs: int = 0
 
     @property
@@ -220,18 +190,13 @@ class Emulator:
         trace_compile: override the exec-compiled-tier toggle for this
             instance (defaults to the ``REPRO_TRACE_COMPILE`` environment
             knob; has no effect while trace fusion itself is disabled).
-        trace_superblock: override the cross-trace-superblock toggle for
-            this instance (defaults to the ``REPRO_TRACE_SUPERBLOCK``
-            environment knob; has no effect while the exec-compiled tier is
-            disabled).
     """
 
     def __init__(self, memory: Memory, host: Optional[HostEnvironment] = None,
                  max_steps: int = 2_000_000,
                  decode_cache: Optional[bool] = None,
                  trace_cache: Optional[bool] = None,
-                 trace_compile: Optional[bool] = None,
-                 trace_superblock: Optional[bool] = None) -> None:
+                 trace_compile: Optional[bool] = None) -> None:
         self.memory = memory
         self.state = CpuState()
         self.host = host or HostEnvironment()
@@ -248,9 +213,6 @@ class Emulator:
                                      if trace_cache is None else trace_cache)
         self._trace_compile_enabled = self._trace_cache_enabled and (
             _TRACE_COMPILE_DEFAULT if trace_compile is None else trace_compile)
-        self._trace_superblock_enabled = self._trace_compile_enabled and (
-            _TRACE_SUPERBLOCK_DEFAULT if trace_superblock is None
-            else trace_superblock)
         #: closure-tier runs before a trace is promoted to compiled source;
         #: instance-tunable so tests can force immediate promotion
         self.trace_compile_threshold = _TRACE_COMPILE_THRESHOLD
@@ -455,7 +417,6 @@ class Emulator:
         fetch_slow = self._fetch_slow
         host_space_end = _HOST_SPACE_END
         fuse = self._trace_cache_enabled
-        superblocks = self._trace_superblock_enabled
         traces = self._trace_cache
         trace_get = traces.get
         heat = self._trace_heat
@@ -502,13 +463,6 @@ class Emulator:
                             # directly, skipping the promotion bookkeeping
                             jit.compiled_runs += 1
                             compiled()
-                            if superblocks:
-                                if trace.parts:
-                                    jit.superblock_runs += 1
-                                    if trace.sb_stale:
-                                        self._superblock_demote(trace)
-                                if trace.sb_watch:
-                                    self._superblock_note(trace, state.rip)
                         else:
                             self._execute_trace(trace)
                         continue
@@ -571,17 +525,10 @@ class Emulator:
                     # emulators keep one form per trace, not two
                     trace.ops = []
                     trace.posts = []
-                    if self._trace_superblock_enabled:
-                        # anything but a halt exit can seam into a
-                        # successor: start watching this trace's exits
-                        trace.sb_tail = trace.steps[-1].kind != "hlt"
-                        trace.sb_watch = trace.sb_tail
                     trace.steps = []
                     stats.traces_compiled += 1
                     stats.compiled_runs += 1
                     compiled()
-                    if self._trace_superblock_enabled and trace.sb_watch:
-                        self._superblock_note(trace, self.state.rip)
                     return
         stats.closure_runs += 1
         executed = 0
@@ -602,100 +549,6 @@ class Emulator:
         self.steps += executed
         if trace.final_rip is not None:
             self.state.rip = trace.final_rip
-
-    def _superblock_demote(self, trace: Trace) -> None:
-        """Drop a composite whose interior seam went permanently stale.
-
-        A seam guard failing its *generation* check means that
-        constituent's code was rewritten, so the composite is degraded to
-        head-only dispatch for good.  Reinstall the head constituent over
-        the cache slot and re-arm its watch, so the run loop re-dispatches
-        the live per-entry traces and the head re-learns the (rebuilt)
-        chain, instead of running a dead seam forever.
-        """
-        head = trace.parts[0]
-        head.sb_watch = head.sb_tail
-        head.sb_counts = None
-        self._trace_cache[trace.entry] = head
-        trace.sb_watch = False
-        trace.sb_counts = None
-
-    def _superblock_note(self, trace: Trace, exit_rip: int) -> None:
-        """Track a compiled trace's exits; link hot tail-to-head chains.
-
-        Called after each run of a watched compiled trace with the address
-        execution continued at.  Once the same exit has repeatedly landed
-        on another hot compiled trace's entry, the chain is linked into a
-        superblock (:func:`repro.cpu.trace.compose_traces`) installed over
-        this trace's cache slot — subsequent runs dispatch the whole chain
-        seam-to-seam without returning to the run loop.  Superblocks are
-        themselves watched, so chains keep growing until
-        :data:`~repro.cpu.trace.SUPERBLOCK_CAP` or an unlinkable tail.
-        """
-        if exit_rip <= _HOST_SPACE_END:
-            # exits into the host/exit range can never link
-            trace.sb_watch = False
-            trace.sb_counts = None
-            return
-        counts = trace.sb_counts
-        if counts is None:
-            counts = trace.sb_counts = {}
-        count = counts.get(exit_rip, 0) + 1
-        if count < _SUPERBLOCK_THRESHOLD:
-            if exit_rip not in counts and len(counts) >= _SUPERBLOCK_FANOUT:
-                # megamorphic exit: stop paying the tracking cost
-                trace.sb_watch = False
-                trace.sb_counts = None
-                return
-            counts[exit_rip] = count
-            return
-        successor = self._trace_cache.get(exit_rip)
-        if successor is None or successor.compiled is None:
-            if successor is not None and successor.compile_failed:
-                # the successor lives on the closure tier for good; a seam
-                # can only dispatch compiled functions
-                trace.sb_watch = False
-                trace.sb_counts = None
-            else:
-                # not hot enough yet: retry once the successor is
-                # compiled, but only a bounded number of times — an exit
-                # that never yields a compiled trace must not keep the
-                # watch (and its per-dispatch bookkeeping) alive forever.
-                # The None key can never collide with an exit address.
-                deferrals = counts.get(None, 0) + 1
-                if deferrals >= _SUPERBLOCK_FANOUT:
-                    trace.sb_watch = False
-                    trace.sb_counts = None
-                else:
-                    counts[None] = deferrals
-                    counts[exit_rip] = 0
-            return
-        if trace.length + successor.length > _SUPERBLOCK_CAP:
-            trace.sb_watch = False
-            trace.sb_counts = None
-            return
-        # link greedily: after the observed seam, follow each successor's
-        # static fall-through (a capped trace's final_rip landing on the
-        # next compiled trace) so a whole ROP chain links in one step
-        parts = [trace, successor]
-        total = trace.length + successor.length
-        current = successor
-        while True:
-            tail = current.parts[-1] if current.parts else current
-            if tail.final_rip is None:
-                break
-            nxt = self._trace_cache.get(tail.final_rip)
-            if nxt is None or nxt.compiled is None \
-                    or total + nxt.length > _SUPERBLOCK_CAP:
-                break
-            parts.append(nxt)
-            total += nxt.length
-            current = nxt
-        fused = compose_traces(self, parts)
-        self._trace_cache[trace.entry] = fused
-        trace.sb_watch = False
-        trace.sb_counts = None
-        self.jit_stats.superblocks_built += 1
 
     # -- snapshots ----------------------------------------------------------
     def snapshot(self) -> EmulatorSnapshot:

@@ -54,14 +54,8 @@ _H = 1 << 63
 #: Upper bound on fused instructions per trace.  Long enough to swallow a
 #: whole chain block between branch gadgets, short enough that the run
 #: loop's ``steps + length <= limit`` pre-check rarely forces single-step.
+#: A longer chain spans several traces, each dispatched by the run loop.
 TRACE_CAP = 64
-
-#: Upper bound on fused instructions per *superblock* (a tail-to-head link
-#: of hot compiled traces, see :func:`compose_traces`).  Superblocks grow by
-#: appending further traces, so this caps the effective fused length well
-#: past :data:`TRACE_CAP` without letting the run loop's budget pre-check
-#: (``steps + length <= limit``) fragment long runs near the cap.
-SUPERBLOCK_CAP = 512
 
 _RSP = Register.RSP
 
@@ -136,28 +130,11 @@ class Trace:
             the source tier, else None.
         compile_failed: True once source compilation was attempted and
             declined, so the closure tier stops retrying.
-        parts: constituent :class:`Trace` objects when this trace is a
-            superblock (tail-to-head link via :func:`compose_traces`); empty
-            for ordinary traces, so truthiness doubles as an is-superblock
-            test.
-        sb_watch: True while the emulator is tracking this compiled trace's
-            exits for superblock link opportunities.
-        sb_counts: per-exit-address transition counters while watched.
-        sb_tail: True when the trace's exit shape is linkable (anything but
-            a halt); captured at promotion time, before the step records are
-            freed, and immutable thereafter (``sb_watch`` is the mutable
-            "still being tracked" state).
-        sb_stale: superblocks only — set by the dispatcher when a seam
-            guard failed on its *generation* check (a constituent's code
-            region was rewritten).  Such a seam can never pass again, so
-            the run loop demotes the composite back to its head
-            constituent on the next dispatch.
     """
 
     __slots__ = ("entry", "ops", "posts", "length", "region", "generation",
                  "final_rip", "steps", "stack_region", "runs", "compiled",
-                 "compile_failed", "parts", "sb_watch", "sb_counts",
-                 "sb_tail", "sb_stale")
+                 "compile_failed")
 
     def __init__(self, entry: int, ops: List[Callable[[], bool]],
                  posts: List[int], region, generation: int,
@@ -175,11 +152,6 @@ class Trace:
         self.runs = 0
         self.compiled = None
         self.compile_failed = False
-        self.parts: tuple = ()
-        self.sb_watch = False
-        self.sb_counts: Optional[dict] = None
-        self.sb_tail = False
-        self.sb_stale = False
 
 
 # -- effective address helpers -------------------------------------------------
@@ -989,64 +961,6 @@ def build_trace(emulator, entry: int, cap: int = TRACE_CAP) -> Optional[Trace]:
     emulator.jit_stats.traces_built += 1
     return Trace(entry, ops, posts, region, generation, final_rip,
                  steps=steps, stack_region=stack_region)
-
-
-def compose_traces(emulator, parts: List[Trace]) -> Trace:
-    """Link compiled traces tail-to-head into one superblock.
-
-    The common ROP-chain shape: a compiled trace's exit (a popped ``ret``
-    target, an immediate branch, or the fall-through of a trace capped at
-    :data:`TRACE_CAP`) keeps landing on another hot compiled trace's entry.
-    The superblock dispatches the constituent compiled functions in
-    sequence without returning to the run loop: after each constituent, a
-    *seam guard* re-checks exactly what the run loop would have checked —
-    that execution actually continued at the next constituent's entry, that
-    the emulator has not halted, and that the next constituent's code
-    region still carries its build-time write generation.  A failing guard
-    simply returns with the architectural state the constituents left, and
-    the run loop carries on from the real ``rip``; no seam is ever
-    speculative.
-
-    Because every seam keys on its *own* constituent's ``(region,
-    generation)`` pair, constituents may span different code regions and
-    SMC invalidation stays exactly as precise as it is for the constituent
-    traces: rewriting any constituent's code makes precisely the seams (and
-    run-loop dispatches) that depend on it fall back.  The composite itself
-    advertises the first constituent's region/generation, which is what the
-    run loop checks before dispatching it.
-
-    ``parts`` already being superblocks is fine — their constituents are
-    flattened, so growth by appending stays one level deep.
-    """
-    flat: List[Trace] = []
-    for part in parts:
-        flat.extend(part.parts or (part,))
-    first = flat[0]
-    state = emulator.state
-    head = first.compiled
-    seams = tuple((part.entry, part.generation, part.region, part.compiled)
-                  for part in flat[1:])
-
-    def run() -> None:
-        head()
-        for entry, generation, region, fn in seams:
-            if state.rip != entry or emulator.halted:
-                return
-            if region.generation != generation:
-                # this seam can never pass again: tell the run loop to
-                # demote the composite back to its head constituent
-                composite.sb_stale = True
-                return
-            fn()
-
-    composite = Trace(first.entry, [], [], first.region, first.generation,
-                      None, stack_region=first.stack_region)
-    composite.length = sum(part.length for part in flat)
-    composite.parts = tuple(flat)
-    composite.compiled = run
-    composite.sb_tail = flat[-1].sb_tail
-    composite.sb_watch = composite.sb_tail
-    return composite
 
 
 # -- semantic-contract registration -------------------------------------------

@@ -70,8 +70,6 @@ _register("REPRO_TRACE_CACHE", "flag", "1", "src",
           "0 disables closure-trace fusion (single-step dispatch)")
 _register("REPRO_TRACE_COMPILE", "flag", "1", "src",
           "0 disables the exec-compiled trace tier")
-_register("REPRO_TRACE_SUPERBLOCK", "flag", "1", "src",
-          "0 disables cross-trace superblock linking")
 
 # -- attack engines (repro.attacks) -------------------------------------------
 _register("REPRO_SNAPSHOT_POOL", "int", "32", "src",

@@ -17,6 +17,7 @@ from repro.binary import BinaryImage, load_image
 from repro.cpu import Emulator, TraceRecorder
 from repro.cpu.host import EXIT_ADDRESS
 from repro.cpu.state import EmulationError
+from repro.cpu.trace import TRACE_CAP
 from repro.isa import Imm, Mem, Reg, assemble
 from repro.isa.instructions import make
 from repro.isa.operands import Label
@@ -448,6 +449,157 @@ def test_compiled_fault_repair_matches_single_step():
     ]
     seeds = [(Register.RSI, 0x123456789)]
     assert_tiers_agree(body, seeds)
+
+
+# -- ret chains longer than TRACE_CAP -------------------------------------------
+# Such a chain spans several compiled traces, each ending at a ret guard or at
+# the cap and handing control back to the run loop.
+
+def _chain_program(gadget_count=40):
+    """A gadget pool whose full chain is well past ``TRACE_CAP``."""
+    image = BinaryImage()
+    gadgets = []
+    for index in range(gadget_count):
+        code, _ = assemble([make("add", Reg(Register.RAX), Imm(index + 1)),
+                            make("xor", Reg(Register.RAX), Imm(index)),
+                            make("ret")], base_address=image.text.end)
+        gadgets.append(image.text.append(code))
+    return load_image(image), gadgets
+
+
+def _chain_emulator(program, tier, **kwargs):
+    emulator = Emulator(program.memory, **_TIERS[tier], **kwargs)
+    emulator.trace_compile_threshold = 0
+    return emulator
+
+
+def _set_chain(emulator, program, chain):
+    rsp = program.stack_top - 0x1000
+    for offset, value in enumerate(chain):
+        emulator.memory.write_int(rsp + 8 * offset, value, 8)
+    emulator.halted = False
+    emulator.state.write_reg(Register.RSP, rsp + 8)
+    emulator.state.rip = chain[0]
+
+
+def _run_chain(emulator, program, chain, rax=7):
+    _set_chain(emulator, program, chain)
+    emulator.state.write_reg(Register.RAX, rax)
+    emulator.run()
+    return (emulator.state.read_reg(Register.RAX),
+            emulator.state.flags_tuple(), emulator.steps)
+
+
+def _hot_compiled_chain(gadget_count=40, **kwargs):
+    """A compiled-tier emulator after 25 runs of the full chain."""
+    program, gadgets = _chain_program(gadget_count)
+    emulator = _chain_emulator(program, "compiled", **kwargs)
+    chain = gadgets + [EXIT_ADDRESS]
+    for _ in range(25):
+        outcome = _run_chain(emulator, program, chain)
+    assert emulator.jit_stats.traces_compiled > 0
+    return program, gadgets, emulator, outcome
+
+
+def test_chain_past_trace_cap_agrees_across_tiers():
+    program, gadgets = _chain_program()
+    chain = gadgets + [EXIT_ADDRESS]
+    assert len(gadgets) * 3 > TRACE_CAP
+    outcomes = {}
+    for tier in _TIERS:
+        fresh = load_image(program.image)
+        emulator = _chain_emulator(fresh, tier)
+        outcomes[tier] = [_run_chain(emulator, fresh, chain)
+                          for _ in range(25)]
+        if tier == "compiled":
+            stats = emulator.jit_stats
+            assert stats.compiled_runs > stats.closure_runs
+    assert outcomes["single"] == outcomes["closure"] == outcomes["compiled"]
+
+
+def test_compiled_long_chain_diverts_at_rewritten_slot():
+    """A rewritten chain slot must divert execution out of hot traces."""
+    program, gadgets, emulator, reference = _hot_compiled_chain()
+    # drop every gadget past the first five
+    short_chain = gadgets[:5] + [EXIT_ADDRESS]
+    single = _chain_emulator(load_image(program.image), "single")
+    expected = _run_chain(single, program, short_chain)
+    actual = _run_chain(emulator, program, short_chain)
+    assert actual[:2] == expected[:2]
+    assert actual[0] != reference[0]
+
+
+def test_compiled_long_chain_picks_up_patched_gadget():
+    """Patching a gadget under hot compiled traces takes effect at once."""
+    program, gadgets, emulator, baseline = _hot_compiled_chain(30)
+    chain = gadgets + [EXIT_ADDRESS]
+    # rewrite gadget 10's add immediate (add rax, 11 -> add rax, 100)
+    patched, _ = assemble([make("add", Reg(Register.RAX), Imm(100)),
+                           make("xor", Reg(Register.RAX), Imm(10)),
+                           make("ret")], base_address=gadgets[10])
+    program.memory.write(gadgets[10], patched)
+
+    single = _chain_emulator(load_image(program.image), "single")
+    single.memory.write(gadgets[10], patched)
+    expected = _run_chain(single, program, chain)
+    for _ in range(3):
+        actual = _run_chain(emulator, program, chain)
+        assert actual[:2] == expected[:2]
+    assert actual[:2] != baseline[:2]
+
+
+def test_budget_exact_mid_compiled_chain():
+    """A budget landing inside a hot chain stops at exactly that step."""
+    program, gadgets, emulator, _ = _hot_compiled_chain(max_steps=10_000)
+    steps_before = emulator.steps
+    _set_chain(emulator, program, gadgets + [EXIT_ADDRESS])
+    with pytest.raises(EmulationError):
+        emulator.run(max_steps=TRACE_CAP + 7)
+    assert emulator.steps == steps_before + TRACE_CAP + 7
+
+
+def test_jcc_loop_guard_exit_agrees_across_tiers():
+    """A hot loop's compiled traces exit correctly on the branch's other side."""
+    program = build_program([
+        "head",
+        make("add", Reg(Register.RAX), Imm(1)),
+        make("cmp", Reg(Register.RAX), Reg(Register.RDI)),
+        make("jge", Label("done")),
+        make("jmp", Label("head")),
+        "done",
+        make("add", Reg(Register.RAX), Imm(1000)),
+        make("ret"),
+    ])
+
+    def call(emulator, bound):
+        start_call(emulator, program, [(Register.RAX, 0), (Register.RDI, bound)])
+        emulator.run()
+        return (emulator.state.read_reg(Register.RAX),
+                emulator.state.flags_tuple())
+
+    results = {}
+    for tier in _TIERS:
+        emulator = _chain_emulator(load_image(program.image), tier)
+        # long runs make the loop hot, then short runs exercise the guard
+        # exit on the other side
+        results[tier] = [call(emulator, bound)
+                         for bound in [200] * 20 + [1, 2, 3, 0]]
+    assert results["single"] == results["closure"] == results["compiled"]
+
+
+def test_hooks_bypass_compiled_chain():
+    """Hooks force single-step even with a hot compiled chain cached."""
+    program, gadgets, emulator, _ = _hot_compiled_chain(30)
+    chain = gadgets + [EXIT_ADDRESS]
+    recorder = TraceRecorder().attach(emulator)
+    steps_before = emulator.steps
+    _run_chain(emulator, program, chain)
+    assert len(recorder.entries) == emulator.steps - steps_before
+
+    reference = _chain_emulator(load_image(program.image), "single")
+    ref_recorder = TraceRecorder().attach(reference)
+    _run_chain(reference, program, chain)
+    assert recorder.addresses() == ref_recorder.addresses()
 
 
 def _single_step_flags(body, seeds=()):
